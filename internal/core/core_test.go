@@ -69,6 +69,12 @@ func (t *Table) SlowGet(ctx *Ctx, k string) int {
 	return t.Data[k]
 }
 
+// SlowJoin is a two-argument slow read, for coalescing-key tests.
+func (t *Table) SlowJoin(ctx *Ctx, a, b string) string {
+	ctx.P.Sleep(20 * time.Millisecond)
+	return a + "|" + b
+}
+
 func (t *Table) Keys() []string {
 	out := make([]string, 0, len(t.Data))
 	for k := range t.Data {

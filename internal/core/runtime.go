@@ -573,16 +573,18 @@ func (rt *Runtime) refuseShedClass(req invokeReq, where string) error {
 // execMethod runs one method body on an instance, with Ctx injection and
 // the per-invocation trace/metrics bookkeeping.
 func (rt *Runtime) execMethod(p sched.Proc, inst any, req invokeReq) (any, time.Duration, error) {
-	args := req.Args
-	// Methods may declare *core.Ctx as their first parameter to access
-	// the execution context.
-	if m := reflect.ValueOf(inst).MethodByName(req.Method); m.IsValid() {
-		if t := m.Type(); t.NumIn() > 0 && t.In(0) == ctxType {
-			args = append([]any{&Ctx{P: p, RT: rt, Span: req.Span}}, args...)
-		}
-	}
 	watch := sched.StartWatch(rt.world.s)
-	res, err := codebase.Invoke(inst, req.Method, args)
+	m, err := codebase.Resolve(inst, req.Method)
+	var res any
+	switch {
+	case err != nil:
+	case m.FirstParam() == ctxType:
+		// Methods may declare *core.Ctx as their first parameter to
+		// access the execution context.
+		res, err = m.CallWith(inst, &Ctx{P: p, RT: rt, Span: req.Span}, req.Args)
+	default:
+		res, err = m.Call(inst, req.Args)
+	}
 	service := watch.Elapsed()
 	rt.world.emit(trace.Event{Kind: trace.ObjInvoked, Node: rt.Node(),
 		App: req.App, Obj: req.ID, Detail: req.Method})

@@ -18,6 +18,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"jsymphony/internal/heat"
@@ -315,7 +317,7 @@ func (g *ShardGroup) InvokeClass(p sched.Proc, class, key, method string, args .
 // invocation; callers arriving while it is in flight park on queues and
 // receive the leader's result without issuing an RMI of their own.
 func (g *ShardGroup) coalesce(p sched.Proc, owner string, obj *Object, method string, args []any, class string) (any, error) {
-	fkey := fmt.Sprintf("%s\x00%s\x00%v", owner, method, args)
+	fkey := flightKey(owner, method, args)
 	g.mu.Lock()
 	if f, ok := g.flights[fkey]; ok {
 		q := g.app.world.s.NewQueue("shard-coalesce")
@@ -348,6 +350,34 @@ func (g *ShardGroup) coalesce(p sched.Proc, owner string, obj *Object, method st
 	}
 	return res, err
 }
+
+// flightKey identifies a read for coalescing.  Every part is length
+// prefixed and every argument carries its type, so the key is injective:
+// reads whose arguments merely print alike — ("a b", "c") and
+// ("a", "b c") under %v — never share a flight.  The common single
+// string argument takes a fast path that formats nothing.
+func flightKey(owner, method string, args []any) string {
+	if len(args) == 1 {
+		if s, ok := args[0].(string); ok {
+			// One concatenation, one allocation.
+			return strconv.Itoa(len(owner)) + ":" + owner +
+				strconv.Itoa(len(method)) + ":" + method +
+				"s" + strconv.Itoa(len(s)) + ":" + s
+		}
+	}
+	var b strings.Builder
+	b.WriteString(lenPrefixed(owner))
+	b.WriteString(lenPrefixed(method))
+	b.WriteString(strconv.Itoa(len(args)))
+	for _, a := range args {
+		b.WriteString(lenPrefixed(fmt.Sprintf("%T", a)))
+		b.WriteString(lenPrefixed(fmt.Sprintf("%#v", a)))
+	}
+	return b.String()
+}
+
+// lenPrefixed renders s as <len>:<s>.
+func lenPrefixed(s string) string { return strconv.Itoa(len(s)) + ":" + s }
 
 // Grow adds one shard on node ("" lets JRS pick) and rebalances:
 // consistent hashing guarantees only the ~K/(S+1) keys now owned by the

@@ -220,6 +220,68 @@ func TestShardCoalescingSingleflight(t *testing.T) {
 	})
 }
 
+// TestShardCoalescingKeyInjective: reads whose arguments print alike
+// under %v — ("a b", "c") and ("a", "b c") — must not share a flight,
+// while an identical read still joins the one in flight.
+func TestShardCoalescingKeyInjective(t *testing.T) {
+	simWorld(t, func(w *World, a *App, p sched.Proc) {
+		loadTable(t, a, p)
+		g, err := a.NewShardGroup(p, "tbl", "Table", ShardSpec{
+			Shards: 2, Reads: []string{"SlowJoin"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := [][2]string{{"a b", "c"}, {"a", "b c"}, {"a b", "c"}}
+		type result struct {
+			i   int
+			got any
+			err error
+		}
+		done := w.Sched().NewQueue("coalesce-key-test")
+		for i, c := range calls {
+			w.Sched().Spawn(fmt.Sprintf("reader%d", i), func(p sched.Proc) {
+				got, err := g.Invoke(p, "hot", "SlowJoin", c[0], c[1])
+				done.Put(result{i, got, err}, 0)
+			})
+		}
+		for range calls {
+			v, ok := p.Recv(done)
+			if !ok {
+				t.Fatal("queue closed")
+			}
+			r := v.(result)
+			if want := calls[r.i][0] + "|" + calls[r.i][1]; r.err != nil || r.got != want {
+				t.Fatalf("read %d = %v, %v; want %q", r.i, r.got, r.err, want)
+			}
+		}
+		if got := w.Metrics().Counter(metrics.Label("js_shard_coalesced_total", "group", "tbl")).Value(); got != 1 {
+			t.Fatalf("coalesced = %d, want exactly 1 (the identical third read)", got)
+		}
+	})
+}
+
+func TestFlightKeyInjective(t *testing.T) {
+	distinct := [][]any{
+		{"a b", "c"}, {"a", "b c"}, {"a b c"}, {"a", "b", "c"},
+		{1}, {"1"}, {int64(1)}, {nil}, {}, {[]string{"x"}}, {"x"},
+	}
+	seen := map[string]int{}
+	for i, args := range distinct {
+		k := flightKey("s0", "Get", args)
+		if j, dup := seen[k]; dup {
+			t.Fatalf("args %v and %v share flight key %q", distinct[j], args, k)
+		}
+		seen[k] = i
+		if again := flightKey("s0", "Get", append([]any(nil), args...)); again != k {
+			t.Fatalf("args %v: key not stable: %q vs %q", args, k, again)
+		}
+	}
+	if flightKey("s0", "Get", []any{"k"}) == flightKey("s0G", "et", []any{"k"}) {
+		t.Fatal("owner/method boundary is ambiguous")
+	}
+}
+
 func TestBatchedRenewerReducesControlRMIs(t *testing.T) {
 	simWorld(t, func(w *World, a *App, p sched.Proc) {
 		const objects = 6

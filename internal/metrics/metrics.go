@@ -47,6 +47,50 @@ func Label(name string, kv ...string) string {
 	if len(kv) == 0 {
 		return name
 	}
+	if len(kv) == 2 {
+		return label1(name, kv[0], kv[1])
+	}
+	return render(name, kv)
+}
+
+// maxMemoLabels bounds the single-pair label memo.  Series names are
+// few (one per node, group or class); past the bound, names are simply
+// rendered afresh.
+const maxMemoLabels = 4096
+
+type labelKey struct{ name, k, v string }
+
+// labelMemo caches rendered single-pair names.  Hot paths (one
+// invocation counter per node, one SLO series per class) re-resolve
+// the same few names on every call; the memo makes that a map hit
+// instead of a quote-and-build.
+var labelMemo struct {
+	mu sync.RWMutex
+	m  map[labelKey]string
+}
+
+func label1(name, k, v string) string {
+	key := labelKey{name, k, v}
+	labelMemo.mu.RLock()
+	s, ok := labelMemo.m[key]
+	labelMemo.mu.RUnlock()
+	if ok {
+		return s
+	}
+	s = render(name, []string{k, v})
+	labelMemo.mu.Lock()
+	if labelMemo.m == nil {
+		labelMemo.m = make(map[labelKey]string)
+	}
+	if len(labelMemo.m) < maxMemoLabels {
+		labelMemo.m[key] = s
+	}
+	labelMemo.mu.Unlock()
+	return s
+}
+
+// render builds an inline-labeled name.
+func render(name string, kv []string) string {
 	var b strings.Builder
 	b.WriteString(name)
 	b.WriteByte('{')

@@ -23,6 +23,22 @@ func TestLabel(t *testing.T) {
 	}
 }
 
+// TestLabelSinglePairMemo: a single-pair name is rendered once and then
+// served from the memo, byte-identical and without allocating.
+func TestLabelSinglePairMemo(t *testing.T) {
+	for _, v := range []string{"rachel", "a\"b,c}\n"} {
+		want := render("js_y", []string{"node", v})
+		for i := 0; i < 2; i++ {
+			if got := Label("js_y", "node", v); got != want {
+				t.Fatalf("Label(%q) = %q, want %q", v, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Label("js_y", "node", "rachel") }); allocs != 0 {
+		t.Fatalf("memoized Label: %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c")

@@ -305,7 +305,7 @@ func (st *Station) serve(msg *Message) {
 	st.mu.Lock()
 	h := st.services[msg.Service]
 	st.mu.Unlock()
-	st.s.Spawn(fmt.Sprintf("rmi:%s/%s.%s", st.Node(), msg.Service, msg.Method), func(p sched.Proc) {
+	st.s.SpawnNamed((*handlerName)(msg), func(p sched.Proc) {
 		var body []byte
 		var err error
 		if h == nil {
@@ -340,6 +340,23 @@ func (st *Station) serve(msg *Message) {
 	})
 }
 
+// handlerName renders the diagnostic name of the actor serving a
+// request, rmi:<node>/<service>.<method>, only when a deadlock dump
+// asks for it.
+type handlerName Message
+
+func (n *handlerName) String() string {
+	return "rmi:" + n.To + "/" + n.Service + "." + n.Method
+}
+
+// replyName renders a call's reply-queue name,
+// reply:<node>:<id> (<service>.<method> on <peer>), on demand.
+type replyName Message
+
+func (n *replyName) String() string {
+	return fmt.Sprintf("reply:%s:%d (%s.%s on %s)", n.From, n.ID, n.Service, n.Method, n.To)
+}
+
 // Call performs a synchronous invocation of service.method on node `to`
 // and waits up to timeout for the response (sinvoke underneath; ainvoke
 // is built by calling Call from a dedicated proc).
@@ -364,10 +381,6 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 	pol := st.policy
 	st.nextID++
 	id := st.nextID
-	reply := st.s.NewQueue(fmt.Sprintf("reply:%s:%d", st.Node(), id))
-	st.pending[id] = reply
-	st.mu.Unlock()
-
 	msg := &Message{
 		From:    st.Node(),
 		To:      to,
@@ -379,6 +392,10 @@ func (st *Station) CallPadded(p sched.Proc, to, service, method string, body []b
 		Pad:     pad,
 		Idem:    pol.Retries > 0,
 	}
+	reply := st.s.NewQueueNamed((*replyName)(msg))
+	st.pending[id] = reply
+	st.mu.Unlock()
+
 	st.stats.calls.Add(1)
 	begin := st.s.Now()
 	if m := st.metrics; m != nil {

@@ -13,6 +13,7 @@
 package sched
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -51,8 +52,13 @@ type Sched interface {
 	// registered (virtual time cannot advance past the spawn point
 	// before fn starts).
 	Spawn(name string, fn func(Proc))
+	// SpawnNamed is Spawn with a name rendered only if a diagnostic
+	// asks for it, for hot paths that spawn per message.
+	SpawnNamed(name fmt.Stringer, fn func(Proc))
 	// NewQueue returns an empty queue; name is used in diagnostics.
 	NewQueue(name string) Queue
+	// NewQueueNamed is NewQueue with a lazily rendered name.
+	NewQueueNamed(name fmt.Stringer) Queue
 	// Now returns the time elapsed since the scheduler epoch.
 	Now() time.Duration
 	// Virtual reports whether this scheduler runs in virtual time.
@@ -64,22 +70,51 @@ type Sched interface {
 
 type virtualSched struct{ c *vclock.Clock }
 
+// virtualProc is a proc on a vclock actor.  For a spawned proc it is
+// also the actor's vclock.Task: body and name in one allocation.
 type virtualProc struct {
-	s *virtualSched
-	a *vclock.Actor
+	s     *virtualSched
+	a     *vclock.Actor
+	fn    func(Proc)
+	name  string
+	label fmt.Stringer // lazily rendered name, used when non-nil
 }
 
-type virtualQueue struct{ m *vclock.Mailbox }
+func (p *virtualProc) Run(a *vclock.Actor) {
+	p.a = a
+	p.fn(p)
+}
+
+func (p *virtualProc) String() string {
+	if p.label != nil {
+		return p.label.String()
+	}
+	return p.name
+}
+
+// virtualQueue is a vclock mailbox seen as a Queue; converting between
+// the two pointer types costs nothing.
+type virtualQueue vclock.Mailbox
+
+func (q *virtualQueue) m() *vclock.Mailbox { return (*vclock.Mailbox)(q) }
 
 // Virtual returns a Sched running in virtual time on clock c.
 func Virtual(c *vclock.Clock) Sched { return &virtualSched{c: c} }
 
 func (s *virtualSched) Spawn(name string, fn func(Proc)) {
-	s.c.Spawn(name, func(a *vclock.Actor) { fn(&virtualProc{s: s, a: a}) })
+	s.c.SpawnTask(&virtualProc{s: s, fn: fn, name: name})
+}
+
+func (s *virtualSched) SpawnNamed(name fmt.Stringer, fn func(Proc)) {
+	s.c.SpawnTask(&virtualProc{s: s, fn: fn, label: name})
 }
 
 func (s *virtualSched) NewQueue(name string) Queue {
-	return &virtualQueue{m: vclock.NewMailbox(s.c, name)}
+	return (*virtualQueue)(vclock.NewMailbox(s.c, name))
+}
+
+func (s *virtualSched) NewQueueNamed(name fmt.Stringer) Queue {
+	return (*virtualQueue)(vclock.NewMailboxNamed(s.c, name))
 }
 
 func (s *virtualSched) Now() time.Duration { return time.Duration(s.c.Now()) }
@@ -94,16 +129,16 @@ func (s *virtualSched) Adopt(name string) (Proc, func()) {
 
 func (p *virtualProc) Sleep(d time.Duration) { p.a.Sleep(d) }
 func (p *virtualProc) Recv(q Queue) (any, bool) {
-	return p.a.Get(q.(*virtualQueue).m)
+	return p.a.Get(q.(*virtualQueue).m())
 }
 func (p *virtualProc) RecvTimeout(q Queue, d time.Duration) (any, bool) {
-	return p.a.GetTimeout(q.(*virtualQueue).m, d)
+	return p.a.GetTimeout(q.(*virtualQueue).m(), d)
 }
 func (p *virtualProc) Sched() Sched { return p.s }
 
-func (q *virtualQueue) Put(v any, delay time.Duration) { q.m.Put(v, delay) }
-func (q *virtualQueue) Close()                         { q.m.Close() }
-func (q *virtualQueue) Len() int                       { return q.m.Len() }
+func (q *virtualQueue) Put(v any, delay time.Duration) { q.m().Put(v, delay) }
+func (q *virtualQueue) Close()                         { q.m().Close() }
+func (q *virtualQueue) Len() int                       { return q.m().Len() }
 
 // Actor exposes the underlying vclock actor of a virtual proc, or nil
 // for a real proc.  Transports that charge simulated CPU need it.
@@ -124,7 +159,7 @@ func AdoptVirtual(s Sched, name string) (Proc, func()) {
 // WrapMailbox adapts an existing vclock mailbox (for example a simnet
 // machine's inbox) into a Queue usable by virtual procs on the same
 // clock.
-func WrapMailbox(m *vclock.Mailbox) Queue { return &virtualQueue{m: m} }
+func WrapMailbox(m *vclock.Mailbox) Queue { return (*virtualQueue)(m) }
 
 // ---------------------------------------------------------------------
 // Real implementation over goroutines and the wall clock.
@@ -150,7 +185,13 @@ func (s *realSched) Spawn(name string, fn func(Proc)) {
 	go fn(&realProc{s: s})
 }
 
+func (s *realSched) SpawnNamed(name fmt.Stringer, fn func(Proc)) {
+	go fn(&realProc{s: s})
+}
+
 func (s *realSched) NewQueue(name string) Queue { return newRealQueue() }
+
+func (s *realSched) NewQueueNamed(name fmt.Stringer) Queue { return newRealQueue() }
 
 // Now reports wall time since the scheduler epoch.
 //

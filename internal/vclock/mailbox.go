@@ -1,9 +1,6 @@
 package vclock
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Mailbox is a delayed-delivery message queue in virtual time.  Put
 // schedules a message to become visible after a delay (modelling network
@@ -13,9 +10,10 @@ import (
 type Mailbox struct {
 	c       *Clock
 	name    string
-	ready   []any    // delivered, not yet consumed (FIFO)
-	waiters []*Actor // actors blocked in Get, FIFO
-	pending int      // scheduled deliveries not yet fired
+	label   fmt.Stringer // lazily rendered name, used when name is ""
+	ready   fifo[any]    // delivered, not yet consumed
+	waiters fifo[*Actor] // actors blocked in Get
+	pending int          // scheduled deliveries not yet fired
 	closed  bool
 }
 
@@ -25,11 +23,25 @@ func NewMailbox(c *Clock, name string) *Mailbox {
 	return &Mailbox{c: c, name: name}
 }
 
+// NewMailboxNamed is NewMailbox with a name rendered only if a deadlock
+// diagnostic asks for it.
+func NewMailboxNamed(c *Clock, name fmt.Stringer) *Mailbox {
+	return &Mailbox{c: c, label: name}
+}
+
+// displayName renders the mailbox's diagnostic name.
+func (m *Mailbox) displayName() string {
+	if m.label != nil {
+		return m.label.String()
+	}
+	return m.name
+}
+
 // Len reports the number of deliverable (not in-flight) messages.
 func (m *Mailbox) Len() int {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
-	return len(m.ready)
+	return m.ready.len()
 }
 
 // InFlight reports the number of scheduled, not-yet-delivered messages.
@@ -54,11 +66,8 @@ func (m *Mailbox) Put(v any, delay Duration) {
 		delay = 0
 	}
 	m.pending++
-	c.schedule(c.now+Time(delay), func() {
-		m.pending--
-		m.ready = append(m.ready, v)
-		m.wakeOneLocked()
-	})
+	ev := c.schedule(c.now+Time(delay), evDeliver)
+	ev.m, ev.v = m, v
 }
 
 // Close marks the mailbox closed.  Blocked and future Gets return ok ==
@@ -72,7 +81,7 @@ func (m *Mailbox) Close() {
 	}
 	m.closed = true
 	// Wake everyone so they can observe the close.
-	for len(m.waiters) > 0 {
+	for m.waiters.len() > 0 {
 		m.wakeOneLocked()
 	}
 }
@@ -80,20 +89,18 @@ func (m *Mailbox) Close() {
 // wakeOneLocked pops the first waiter, if any, and makes it runnable.
 // Caller holds the clock lock.
 func (m *Mailbox) wakeOneLocked() {
-	if len(m.waiters) == 0 {
+	if m.waiters.len() == 0 {
 		return
 	}
-	a := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.c.wakeActor(a)
+	m.c.wakeActor(m.waiters.pop())
 }
 
 // removeWaiterLocked deletes a from the waiter list if present.  Caller
 // holds the clock lock.
 func (m *Mailbox) removeWaiterLocked(a *Actor) {
-	for i, w := range m.waiters {
+	for i, w := range m.waiters.items() {
 		if w == a {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+			m.waiters.removeAt(i)
 			return
 		}
 	}
@@ -106,21 +113,20 @@ func (a *Actor) Get(m *Mailbox) (v any, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for {
-		if len(m.ready) > 0 {
-			v = m.popLocked()
-			return v, true
+		if m.ready.len() > 0 {
+			return m.ready.pop(), true
 		}
 		if m.closed && m.pending == 0 {
 			return nil, false
 		}
-		m.waiters = append(m.waiters, a)
-		a.state = "receiving on mailbox " + m.name
+		m.waiters.push(a)
+		a.state = actorState{kind: stReceiving, m: m}
 		c.blockActor(a)
 		c.mu.Unlock()
 		<-a.wake
 		c.mu.Lock()
 		c.checkDeadLocked()
-		a.state = "running"
+		a.state = actorState{}
 	}
 }
 
@@ -137,15 +143,15 @@ func (a *Actor) GetTimeout(m *Mailbox, d Duration) (v any, ok bool) {
 	deadline := c.now + Time(d)
 	var timer *event
 	for {
-		if len(m.ready) > 0 {
+		if m.ready.len() > 0 {
 			if timer != nil {
-				timer.canceled = true
+				timer.cancel()
 			}
-			return m.popLocked(), true
+			return m.ready.pop(), true
 		}
 		if m.closed && m.pending == 0 {
 			if timer != nil {
-				timer.canceled = true
+				timer.cancel()
 			}
 			return nil, false
 		}
@@ -153,32 +159,20 @@ func (a *Actor) GetTimeout(m *Mailbox, d Duration) (v any, ok bool) {
 			return nil, false
 		}
 		if timer == nil || timer.canceled {
-			timer = c.schedule(deadline, func() {
-				// Only wake if still waiting; the waiter removes
-				// itself from m.waiters on its own wake path.
-				m.removeWaiterLocked(a)
-				c.wakeActor(a)
-			})
+			timer = c.schedule(deadline, evTimeout)
+			timer.a, timer.m = a, m
 		}
-		m.waiters = append(m.waiters, a)
-		a.state = fmt.Sprintf("receiving on mailbox %s (timeout at %v)", m.name, time.Duration(deadline))
+		m.waiters.push(a)
+		a.state = actorState{kind: stReceiving, until: deadline, timed: true, m: m}
 		c.blockActor(a)
 		c.mu.Unlock()
 		<-a.wake
 		c.mu.Lock()
 		c.checkDeadLocked()
-		a.state = "running"
+		a.state = actorState{}
 		// We may have been woken by a delivery while the timer is still
 		// pending, or by the timer while still in the waiter list (not
 		// possible: the timer removes us), or by Close.  Clean both up.
 		m.removeWaiterLocked(a)
 	}
-}
-
-// popLocked removes and returns the first ready message.  Caller holds
-// the clock lock and has checked len(m.ready) > 0.
-func (m *Mailbox) popLocked() any {
-	v := m.ready[0]
-	m.ready = m.ready[1:]
-	return v
 }
